@@ -1401,41 +1401,58 @@ fn smoke_serve() {
     println!("serve-smoke: OK (budget {WALL_BUDGET_S}s wall)");
 }
 
-/// CI smoke: the n = 500 planted-block exact solve, with a hard budget on
-/// flow decisions so pruning regressions fail the build instead of
-/// silently eating wall clock.
+/// CI smoke: two planted-block exact solves, each with a hard budget on
+/// flow decisions so pruning or per-ratio search regressions fail the
+/// build instead of silently eating wall clock.
 ///
-/// Budget calibration: the tie-pruned engine measures ~1 560 decisions on
-/// this instance (release, 2026-07); the legacy strict-margin engine needs
-/// ~4 300. The 2 500 budget therefore passes with ~60% headroom while any
-/// reversion of incumbent/tie pruning blows straight through it.
+/// Budget calibration (release, 2026-10), each budget ~60% above the
+/// measured count:
+///
+/// * `planted_block(500)` — the engine measures 77 decisions over 50
+///   ratios; budget 125. Bisecting toward β* per ratio needed ~1 560, and
+///   the legacy strict-margin engine ~4 300.
+/// * the spine instance `gen::planted(20 000, 200 000, 60, 80, 0.9, 6)`,
+///   whose optimum forces a long Stern–Brocot spine walk (468 solved
+///   ratios) — 469 decisions; budget 750. Bisection needed 24 376.
+///
+/// Either budget fails on a reversion of tie pruning or of the Newton
+/// per-ratio search.
 fn smoke_exact() {
     use dds_bench::workloads::planted_block;
     use dds_core::DcExact;
+    use dds_graph::gen;
 
-    const FLOW_DECISION_BUDGET: usize = 2_500;
-    let p = planted_block(500);
-    let t0 = std::time::Instant::now();
-    let report = DcExact::new().solve(&p.graph);
-    let elapsed = t0.elapsed();
-    let planted_rho = p.pair.density(&p.graph);
-    println!(
-        "smoke: n=500 planted block solved in {elapsed:?}: density {} (planted {}), {} ratios, {} flow decisions ({} arena hits, {} core hits)",
-        report.solution.density,
-        planted_rho,
-        report.ratios_solved,
-        report.flow_decisions,
-        report.arena_reuse_hits,
-        report.core_cache_hits,
-    );
-    assert!(
-        report.solution.density >= planted_rho,
-        "solver missed the planted block"
-    );
-    assert!(
-        report.flow_decisions <= FLOW_DECISION_BUDGET,
-        "flow-decision budget exceeded: {} > {FLOW_DECISION_BUDGET} — a pruning regression",
-        report.flow_decisions
-    );
-    println!("smoke: OK (budget {FLOW_DECISION_BUDGET})");
+    let cases = [
+        ("n=500 planted block", planted_block(500), 125usize),
+        (
+            "n=20000 spine instance",
+            gen::planted(20_000, 200_000, 60, 80, 0.9, 6),
+            750,
+        ),
+    ];
+    for (name, p, budget) in cases {
+        let t0 = std::time::Instant::now();
+        let report = DcExact::new().solve(&p.graph);
+        let elapsed = t0.elapsed();
+        let planted_rho = p.pair.density(&p.graph);
+        println!(
+            "smoke: {name} solved in {elapsed:?}: density {} (planted {}), {} ratios, {} flow decisions ({} arena hits, {} core hits)",
+            report.solution.density,
+            planted_rho,
+            report.ratios_solved,
+            report.flow_decisions,
+            report.arena_reuse_hits,
+            report.core_cache_hits,
+        );
+        assert!(
+            report.solution.density >= planted_rho,
+            "solver missed the planted block ({name})"
+        );
+        assert!(
+            report.flow_decisions <= budget,
+            "flow-decision budget exceeded on the {name}: {} > {budget} — a pruning or per-ratio search regression",
+            report.flow_decisions
+        );
+        println!("smoke: {name} OK (budget {budget})");
+    }
 }

@@ -9,8 +9,8 @@
 //!   decision after the first recycles its node/edge buffers instead of
 //!   reallocating ([`FlowNetwork::reset_for`]);
 //! * **a core memo table** — a [`CoreCache`] keyed by the `(x, y)` peel
-//!   thresholds the β floor induces, so repeated thresholds cost an `O(n)`
-//!   clone instead of an `O(n + m)` peel;
+//!   thresholds the β guesses induce, so repeated thresholds cost an
+//!   `O(n)` clone instead of a peel;
 //! * **the incumbent** — the witness pair of the previous solve. The next
 //!   solve on the *same or a mutated* graph re-validates the pair (vertex
 //!   ids in range, density recomputed on the new graph) and uses it to

@@ -25,10 +25,12 @@
 //!      the incumbent are discarded too (see [`ExactOptions::tie_pruning`];
 //!      without it, the tree spine adjacent to the optimum's own ratio ties
 //!      forever and `Θ(n)` hopeless ratios get solved);
-//!   3. **floors and cores** — each per-ratio search starts at the β-image
-//!      of the best density so far and runs its flows on
-//!      `[⌈β/2a⌉, ⌈β/2b⌉]`-cores (see `per_ratio`), so late ratios cost
-//!      little even when not pruned outright.
+//!   3. **achieved starts and cores** — each per-ratio search is a
+//!      Dinkelbach iteration that starts at the incumbent pair's β-value
+//!      and only ever guesses achieved values, so it pins `β*(c)` in a
+//!      few cuts (one when the incumbent is already optimal at `c`), each
+//!      run on the `[⌈β/2a⌉, ⌈β/2b⌉]`-core of its guess (see `per_ratio`);
+//!      late ratios cost little even when not pruned outright.
 //!
 //!   A warm start from [`core_approx`] seeds the best density at
 //!   `≥ ρ_opt/2` before any flow runs; a reused [`SolveContext`] seeds it
@@ -208,9 +210,8 @@ impl ExactReport {
 struct Certificate {
     a0: u64,
     b0: u64,
-    /// Exact inclusive bound on `β*(c₀)` — equal to `β*(c₀)` itself when
-    /// the per-ratio search could pin it (`beta_star_exact`), which is what
-    /// makes exact ties detectable.
+    /// `β*(c₀)` itself, pinned by the certify-mode per-ratio search —
+    /// which is what makes exact ties detectable.
     bound: Frac,
     /// `c₀` as `f64`.
     c0: f64,
@@ -733,9 +734,9 @@ impl<'g> Search<'g> {
             }
         }
         if tighten {
-            // Prefer the pinned β*(c) when the search proved it — that is
-            // what makes exact ties against the incumbent detectable.
-            let bound = outcome.beta_star_exact.unwrap_or(outcome.certified_upper);
+            // Certify mode pins β*(c) exactly — that is what makes exact
+            // ties against the incumbent detectable.
+            let bound = outcome.certified_upper;
             let ab = (c.a() as f64) * (c.b() as f64);
             self.certs
                 .write()
@@ -1200,6 +1201,23 @@ mod tests {
             without.ratios_solved
         );
         assert!(with.flow_decisions < without.flow_decisions);
+    }
+
+    #[test]
+    fn newton_search_pins_most_ratios_in_one_cut() {
+        // The bench harness's planted block at n = 120 (m = 5n, a 10×12
+        // block at 0.9 fill). The incumbent is optimal or near-optimal at
+        // most solved ratios, so a Dinkelbach search that starts from it
+        // certifies at once.
+        let p = gen::planted(120, 600, 10, 12, 0.9, 0xDD5);
+        let r = DcExact::new().solve(&p.graph);
+        assert!(r.solution.density >= p.pair.density(&p.graph));
+        assert!(
+            r.flow_decisions < 2 * r.ratios_solved,
+            "{} flow decisions for {} solved ratios",
+            r.flow_decisions,
+            r.ratios_solved
+        );
     }
 
     #[test]

@@ -1,37 +1,44 @@
-//! Exact per-ratio search in β-space.
+//! Exact per-ratio search in β-space: Dinkelbach's parametric Newton step.
 //!
-//! For a fixed ratio `c = a/b` the search brackets
+//! For a fixed ratio `c = a/b` the search finds
 //! `β*(c) = max over pairs of 2abE/(b|S| + a|T|)` — the β-image of the
-//! c-weighted density (see `dds-flow::decision`) — between an *achieved*
-//! lower bound `l` and a *certified* upper bound `u`:
+//! c-weighted density (see `dds-flow::decision`) — by flow decisions at
+//! **achieved** values only:
 //!
-//! * every guess is the **simplest rational strictly inside `(l, u)`**,
-//!   which keeps flow capacities small and doubles as the termination
-//!   certificate: candidate values have denominator ≤ `n(a+b)` (they are
-//!   `2abE/D` with `D = b|S| + a|T| ≤ n(a+b)`), so once the simplest
-//!   fraction in the interval is more complex than that, the interval is
-//!   empty of candidates and `l` is the optimum;
-//! * a cut that **finds** a pair jumps `l` to the pair's *exact* β-value
-//!   (not the guess), so `l` only ever sits on achievable values;
-//! * a cut that **certifies** lowers `u` to the guess; if the guess hit
-//!   `β*` exactly, the maximal min cut recovers an optimal pair on the
-//!   spot (`boundary`), closing the interval.
+//! * the first guess is the β-value of a known pair: the seed pair (the
+//!   caller's incumbent) or any single edge (`2ab/(a+b)`), whichever is
+//!   larger;
+//! * a cut that **exceeds** the guess returns a pair whose exact β-value
+//!   becomes the next guess — the Newton jump of Dinkelbach's
+//!   fractional-programming iteration;
+//! * a cut that **certifies** an achieved guess `l` proves `β*(c) ≤ l`,
+//!   hence `β*(c) = l` exactly, and the maximal min cut recovers a pair
+//!   achieving it (`boundary`).
 //!
-//! Termination: certifications walk the Stern–Brocot tree toward `l`, so
-//! the guess denominator grows at least Fibonacci-fast — `O(log max_den)`
-//! consecutive certifications suffice — and improvements move `l` through
-//! the finite candidate set monotonically.
+//! Termination: every guess but the last is strictly beaten by the pair
+//! its cut returns, so the guesses climb strictly through the finite set of
+//! candidate values `2abE/D` (`E ≤ m`, `D = b|S| + a|T| ≤ n(a+b)`). In
+//! practice the climb takes a handful of cuts — usually one or two once
+//! the seed is near-optimal.
+//!
+//! Floor-fast mode (see [`solve_ratio`]) differs only in its first guess:
+//! the caller's floor, when it lies above the achieved start. A
+//! certification there proves the ratio cannot beat the floor after a
+//! single cut; an exceeding pair lands the search on an achieved value
+//! above the floor, from where the Newton climb proceeds as above.
 //!
 //! With `core_pruning`, each decision runs on the
-//! `[⌈β/2a⌉, ⌈β/2b⌉]`-core: every maximiser of the cut objective at guess
-//! `β` has `d⁺ ≥ β/(2a)` on the S side and `d⁻ ≥ β/(2b)` on the T side
-//! within the pair (dropping a vertex below the threshold would increase
-//! the objective), so restricting to the core preserves the decision and
-//! every extractable optimum while shrinking the network.
+//! `[⌈β/2a⌉, ⌈β/2b⌉]`-core of its guess `β`: every maximiser of the cut
+//! objective at guess `β` has `d⁺ ≥ β/(2a)` on the S side and
+//! `d⁻ ≥ β/(2b)` on the T side within the pair (dropping a vertex below
+//! the threshold would increase the objective), so restricting to the core
+//! preserves the decision and every extractable optimum while shrinking
+//! the network. Because the guesses only climb, so do the thresholds, and
+//! each ratio's cores nest.
 
 use dds_flow::{beta_of_pair, decide_in_with, Decision, DecisionStats, FlowArena, FlowExecutor};
 use dds_graph::{DiGraph, Pair, StMask};
-use dds_num::{simplest_between, Frac};
+use dds_num::Frac;
 
 /// The reusable machinery a ratio search borrows from its caller: the
 /// worker's flow arena, a core provider (typically the `SolveContext`
@@ -58,18 +65,14 @@ pub(crate) struct RatioOutcome {
     /// Best pair with `β* > floor`, and its exact β-value (`None` when the
     /// ratio cannot beat the floor).
     pub best: Option<(Pair, Frac)>,
-    /// Certified inclusive upper bound on `β*(c)` over **all** pairs; used
-    /// by the divide-and-conquer driver to prune neighbouring ratio
-    /// intervals via the γ transfer bound. In certify mode this is `β*(c)`
-    /// itself whenever the search can prove it (see `beta_star_exact`),
-    /// which is what lets the driver discard intervals that merely *tie*
-    /// the incumbent.
+    /// Certified inclusive upper bound on `β*(c)` over **all** pairs. It is
+    /// `β*(c)` itself — an achieved value — in certify mode, and in
+    /// floor-fast mode whenever the ratio met or beat the floor; only a
+    /// floor-fast exit below the floor leaves the (possibly unachieved)
+    /// floor here. The divide-and-conquer driver turns the exact value
+    /// into a γ transfer certificate, which is what lets it discard ratio
+    /// intervals that merely *tie* the incumbent.
     pub certified_upper: Frac,
-    /// `Some(β*(c))` when the search proved the exact optimum: either the
-    /// bracket closed (`l == u`), or certify mode ended with an achieved
-    /// lower bound `l`, a strictly-certified upper bound, and a
-    /// candidate-free open interval between them — which pins `β* = l`.
-    pub beta_star_exact: Option<Frac>,
     /// Instrumentation for every flow decision run.
     pub decisions: Vec<DecisionStats>,
 }
@@ -87,19 +90,17 @@ fn ceil_div(beta: Frac, k: u64) -> u64 {
 /// `β* > floor_beta` are reported in `best` (the caller passes the β-image
 /// of the best density found so far).
 ///
-/// `tighten` picks the search regime:
+/// `tighten` picks the first guess:
 ///
-/// * `false` — **floor-fast**: the lower search bound starts at the floor,
-///   so ratios that cannot beat the incumbent exit after a handful of
-///   certifications. The certified upper bound then sits just above the
-///   floor — useless for γ transfer. Right when no caller consumes
-///   certificates (the all-ratios baseline, or DC with γ-pruning off).
-/// * `true` — **certify**: the search brackets the true `β*(c)` from both
-///   sides (lower bound starts at 0; the floor is tried as the *first
-///   guess*, which restores most of the fast-exit behaviour), leaving
-///   `certified_upper` within one candidate gap of `β*(c)`. That tight
-///   bound is what lets the divide-and-conquer driver discard whole ratio
-///   intervals.
+/// * `false` — **floor-fast**: guess the floor first (when it lies above
+///   the achieved start), so a ratio that cannot beat the incumbent exits
+///   after one cut. The certified upper bound is then the floor — useless
+///   for γ transfer. Right when no caller consumes certificates (the
+///   all-ratios baseline, or DC with γ-pruning off).
+/// * `true` — **certify**: guess only achieved values, so the search
+///   always ends by pinning `β*(c)` exactly, even below the floor. That
+///   exact bound is what lets the divide-and-conquer driver discard whole
+///   ratio intervals, ties included.
 #[allow(clippy::too_many_arguments)] // search knobs + borrowed resources
 pub(crate) fn solve_ratio(
     g: &DiGraph,
@@ -111,94 +112,44 @@ pub(crate) fn solve_ratio(
     seed_pair: Option<&Pair>,
     res: &mut RatioResources<'_>,
 ) -> RatioOutcome {
-    let n = g.n() as u64;
-    let m = g.m() as u64;
-    debug_assert!(a >= 1 && b >= 1 && a <= n && b <= n);
-
-    // Inclusive upper bound before any flow: D = b|S| + a|T| ≥ a + b, so
-    // β* ≤ 2abm/(a+b).
-    let u0 = Frac::new(
-        2i128 * i128::from(a) * i128::from(b) * i128::from(m),
-        i128::from(a + b),
-    );
-    let max_den = i128::from(n) * i128::from(a + b);
-
+    debug_assert!(a >= 1 && b >= 1 && a <= g.n() as u64 && b <= g.n() as u64);
+    let mut decisions = Vec::new();
+    if g.m() == 0 {
+        // Every pair has E = 0, so β*(c) = 0 without a cut.
+        return RatioOutcome {
+            best: None,
+            certified_upper: Frac::ZERO,
+            decisions,
+        };
+    }
     let floor = if floor_beta.is_negative() {
         Frac::ZERO
     } else {
         floor_beta
     };
-    // Certify mode brackets β*(c) from 0; jump-starting the achieved lower
-    // bound at a known pair's exact β-value (typically the incumbent best
-    // pair, whose weighted-density bump dominates near its own ratio)
-    // removes the log-many "climb from zero" flows per ratio.
-    let seed = seed_pair
+    // The achieved start: the better of the seed pair (typically the
+    // incumbent, whose weighted-density bump dominates near its own ratio)
+    // and any single edge, |S| = |T| = E = 1.
+    let single_edge = Frac::new(2 * i128::from(a) * i128::from(b), i128::from(a + b));
+    let start = seed_pair
         .filter(|p| !p.is_empty())
-        .map(|p| beta_of_pair(g, p, a, b))
-        .unwrap_or(Frac::ZERO);
-    let mut l = if tighten { seed } else { floor.max(seed) };
-    let mut u = u0;
-    // In certify mode, probing the floor first either jumps `l` past it or
-    // slams `u` onto it — one flow either way.
-    let mut first_guess = if tighten && l < floor && floor < u0 {
-        Some(floor)
+        .map_or(single_edge, |p| beta_of_pair(g, p, a, b).max(single_edge));
+    let mut guess = if !tighten && floor > start {
+        floor
     } else {
-        None
+        start
     };
-    let mut best: Option<(Pair, Frac)> = None;
-    let mut decisions = Vec::new();
     let full = StMask::full(g.n());
-    // Consecutive guesses usually round to the same integer thresholds, so
+    // Consecutive guesses often round to the same integer thresholds, so
     // keep the last core locally; threshold changes go through the caller's
     // provider (the `SolveContext` memo, shared across ratios and solves).
     let mut core_cache: Option<((u64, u64), StMask)> = None;
-    // True once a `Certified { boundary: None }` decision set `u`: the final
-    // upper bound is then *strictly* above β*, which (combined with an
-    // achieved `l` and a candidate-free gap) pins β* = l exactly.
-    let mut u_certified_strict = false;
-    // Whether `l` is a sound lower bound on β*: certify mode starts at 0 or
-    // an achieved pair value; floor-fast mode starts at the (possibly
-    // unachievable) floor and becomes sound only once a pair sets it.
-    let mut l_achieved = tighten;
 
-    let mut iterations = 0usize;
-    while l < u {
-        iterations += 1;
+    loop {
         assert!(
-            iterations < 200_000,
+            decisions.len() < 200_000,
             "per-ratio search failed to converge (bug)"
         );
-        let guess = match first_guess.take() {
-            Some(f) if l < f && f < u => f,
-            _ => {
-                let simplest = simplest_between(l, u);
-                if simplest.den() > max_den {
-                    // No candidate β-value remains strictly inside (l, u).
-                    break;
-                }
-                // In certify mode, guess inside the middle third of (l, u):
-                // every outcome then shrinks the interval by ≥ 1/3 (Exceeds
-                // raises l past the guess, Certified drops u onto it),
-                // giving geometric convergence; plain simplest-in-interval
-                // can shave slivers when the simplest fraction hugs an
-                // endpoint. The interval-wide simplest is preferred when it
-                // already lies in the middle third — its denominator (and
-                // hence the scaled flow capacities) is minimal. In
-                // floor-fast mode, hugging the floor is exactly the cheap
-                // hopeless-exit behaviour, so the simplest guess stays.
-                if !tighten {
-                    simplest
-                } else {
-                    let third = (u - l) * Frac::new(1, 3);
-                    let (lo3, hi3) = (l + third, u - third);
-                    if lo3 < simplest && simplest < hi3 {
-                        simplest
-                    } else {
-                        simplest_between(lo3, hi3)
-                    }
-                }
-            }
-        };
         let alive: &StMask = if core_pruning {
             let x = ceil_div(guess, 2 * a);
             let y = ceil_div(guess, 2 * b);
@@ -216,43 +167,23 @@ pub(crate) fn solve_ratio(
             Decision::Exceeds(pair) => {
                 let beta = beta_of_pair(g, &pair, a, b);
                 debug_assert!(beta > guess, "found pair must beat the guess");
-                l = beta;
-                l_achieved = true;
-                if beta > floor {
-                    best = Some((pair, beta));
-                }
+                guess = beta;
             }
             Decision::Certified { boundary } => {
-                if let Some(pair) = boundary {
+                // β*(c) ≤ guess. At an achieved guess that is β*(c) = guess,
+                // and the maximal min cut holds a pair achieving it; at the
+                // floor-fast floor it is the hopeless exit.
+                let best = boundary.filter(|_| guess > floor).map(|pair| {
                     debug_assert_eq!(beta_of_pair(g, &pair, a, b), guess);
-                    if guess > floor {
-                        best = Some((pair, guess));
-                    }
-                    l = guess; // optimum reached exactly: l == u ends the loop
-                    l_achieved = true;
-                } else {
-                    u_certified_strict = true; // β* < guess = new u
-                }
-                u = guess;
+                    (pair, guess)
+                });
+                return RatioOutcome {
+                    best,
+                    certified_upper: guess,
+                    decisions,
+                };
             }
         }
-    }
-    // Pin β*(c) exactly when the bracket allows it. Soundness:
-    // * `l == u` — an achieved value meets a certified bound; β* = l.
-    // * certify mode, loop broke with `l < u` — then (l, u) holds no
-    //   candidate β-value, `l ≤ β* ≤ u` (certify-mode `l` is always 0 or an
-    //   achieved pair value), and β* is itself a candidate, so β* ∈ {l, u};
-    //   a strict final certification rules out `u`, leaving β* = l.
-    let beta_star_exact = if l_achieved && (l == u || u_certified_strict) {
-        Some(l)
-    } else {
-        None
-    };
-    RatioOutcome {
-        best,
-        certified_upper: beta_star_exact.unwrap_or(u),
-        beta_star_exact,
-        decisions,
     }
 }
 
@@ -310,19 +241,26 @@ mod tests {
     }
 
     fn check_all_ratios(g: &DiGraph, core_pruning: bool) {
+        let n = g.n() as u32;
+        let everything = Pair::new((0..n).collect(), (0..n).collect());
         for r in candidate_ratios(g.n() as u64) {
             let (a, b) = (r.a(), r.b());
             let want = brute_beta_star(g, a, b);
             for tighten in [false, true] {
-                let out = run(g, a, b, Frac::ZERO, core_pruning, tighten, None);
-                let got = out.best.as_ref().map_or(Frac::ZERO, |(_, beta)| *beta);
-                assert_eq!(
-                    got, want,
-                    "ratio {a}/{b} core={core_pruning} tighten={tighten}"
-                );
-                assert!(out.certified_upper >= want, "certificate must bound β*");
-                if let Some((pair, beta)) = &out.best {
-                    assert_eq!(beta_of_pair(g, pair, a, b), *beta);
+                for seed in [None, Some(&everything)] {
+                    let out = run(g, a, b, Frac::ZERO, core_pruning, tighten, seed);
+                    let ctx = format!(
+                        "ratio {a}/{b} core={core_pruning} tighten={tighten} seeded={}",
+                        seed.is_some()
+                    );
+                    let got = out.best.as_ref().map_or(Frac::ZERO, |(_, beta)| *beta);
+                    assert_eq!(got, want, "{ctx}");
+                    // A zero floor is beaten by every edge, so both modes
+                    // end on a certified achieved guess: β*(c) pinned.
+                    assert_eq!(out.certified_upper, want, "exact pin, {ctx}");
+                    if let Some((pair, beta)) = &out.best {
+                        assert_eq!(beta_of_pair(g, pair, a, b), *beta);
+                    }
                 }
             }
         }
@@ -356,7 +294,12 @@ mod tests {
         // β*(1/1) = 12/5; a floor above it must return None quickly.
         let out = run(&g, 1, 1, Frac::new(5, 2), false, false, None);
         assert!(out.best.is_none());
-        assert!(out.certified_upper >= Frac::new(12, 5));
+        assert_eq!(
+            out.certified_upper,
+            Frac::new(5, 2),
+            "the floor is the bound"
+        );
+        assert_eq!(out.decisions.len(), 1, "hopeless exit after one cut");
         // A floor just below it must still find the optimum.
         let out = run(
             &g,
@@ -368,16 +311,11 @@ mod tests {
             None,
         );
         assert_eq!(out.best.unwrap().1, Frac::new(12, 5));
-        // Certify mode with a hopeless floor still produces a *tight*
-        // certificate: β*(1/1) = 12/5, so the bound must sit within one
-        // candidate gap of it, far below the floor.
+        // Certify mode with a hopeless floor still pins β*(1/1) = 12/5
+        // exactly, below the floor.
         let out = run(&g, 1, 1, Frac::new(5, 2), false, true, None);
         assert!(out.best.is_none(), "floor filter still applies");
-        assert!(out.certified_upper >= Frac::new(12, 5));
-        assert!(
-            out.certified_upper < Frac::new(5, 2),
-            "tight certificate expected"
-        );
+        assert_eq!(out.certified_upper, Frac::new(12, 5));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   smallest maximizer of the cut objective;
 //! * the *maximal* source side (complement of the set that reaches `t` in
 //!   the residual graph) — required to recover an optimal pair when the
-//!   binary-search guess hits the optimum exactly and the minimal cut
-//!   degenerates to `{s}`.
+//!   guess hits the optimum exactly (the last cut of every per-ratio
+//!   search) and the minimal cut degenerates to `{s}`.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};

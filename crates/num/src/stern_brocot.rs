@@ -5,15 +5,16 @@ use crate::Frac;
 /// Returns the unique fraction with the smallest denominator (ties broken by
 /// smallest numerator) strictly inside the open interval `(lo, hi)`.
 ///
-/// Two uses in the exact DDS search:
+/// Two uses in the exact DDS search's ratio traversal:
 ///
-/// * **guess selection** — picking the simplest rational between the current
-///   binary-search bounds keeps the integer flow capacities (which scale
-///   with the guess's denominator) as small as possible;
-/// * **termination certificates** — every candidate optimum in β-space has
-///   denominator ≤ `n(a+b)`; if the simplest fraction inside `(l, u)`
-///   already exceeds that, the interval provably contains no candidate and
-///   the search can stop.
+/// * **ratio selection** — the simplest ratio strictly inside a
+///   Stern–Brocot interval (the mediant of neighbours) is the one solved
+///   next, and the same call jumps the test ratio into the structural
+///   density band when that band clips the interval;
+/// * **emptiness certificates** — every reduced ratio inside an interval
+///   is a Stern–Brocot descendant of the simplest one, so once its
+///   components exceed `n` the interval holds no candidate ratio and is
+///   dropped.
 ///
 /// Implementation: the classic continued-fraction walk. When the interval
 /// contains an integer, the smallest one wins; otherwise both endpoints

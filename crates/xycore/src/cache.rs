@@ -7,6 +7,13 @@
 //! `O(n + m)`. [`CoreCache`] memoises the peel per `(x, y)` key so a
 //! repeat costs one `O(n)` mask clone instead.
 //!
+//! A miss does not peel the whole graph either. Cores nest — the
+//! `[x, y]`-core lies inside every `[x', y']`-core with `x' ≤ x` and
+//! `y' ≤ y` — so the peel starts from the smallest such memoised core and
+//! only touches the edges that core still holds. The per-ratio search's
+//! guesses climb, so its thresholds do too, and each miss usually finds
+//! its predecessor's core to start from.
+//!
 //! The cache is only valid for one graph: the owner (`dds-core`'s
 //! `SolveContext`) compares the graph against the previous solve's and calls
 //! [`clear`](CoreCache::clear) whenever it changes — which is also what the
@@ -26,7 +33,9 @@ const MAX_ENTRIES: usize = 4096;
 /// A memo table of full-graph `[x, y]`-cores with hit/miss counters.
 #[derive(Clone, Debug, Default)]
 pub struct CoreCache {
-    map: HashMap<(u64, u64), StMask>,
+    /// Each core with its vertex-side count (`|S| + |T|`), the size that
+    /// picks a miss's starting core.
+    map: HashMap<(u64, u64), (StMask, usize)>,
     hits: usize,
     misses: usize,
 }
@@ -39,10 +48,11 @@ impl CoreCache {
     }
 
     /// The `[x, y]`-core of `g` (full base), memoised. Returns a clone of
-    /// the cached mask; the clone is `O(n)` against the `O(n + m)` peel it
-    /// replaces.
+    /// the cached mask; the clone is `O(n)` against the peel it replaces.
+    /// A miss peels inside the smallest memoised core with thresholds
+    /// `(x', y') ≤ (x, y)`, or the whole graph when there is none.
     pub fn core(&mut self, g: &DiGraph, x: u64, y: u64) -> StMask {
-        if let Some(mask) = self.map.get(&(x, y)) {
+        if let Some((mask, _)) = self.map.get(&(x, y)) {
             self.hits += 1;
             return mask.clone();
         }
@@ -50,8 +60,18 @@ impl CoreCache {
         if self.map.len() >= MAX_ENTRIES {
             self.map.clear();
         }
-        let mask = xy_core_within(g, &StMask::full(g.n()), x, y);
-        self.map.insert((x, y), mask.clone());
+        let base = self
+            .map
+            .iter()
+            .filter(|(&(bx, by), _)| bx <= x && by <= y)
+            .min_by_key(|(_, (_, size))| *size)
+            .map(|(_, (mask, _))| mask);
+        let mask = match base {
+            Some(base) => xy_core_within(g, base, x, y),
+            None => xy_core_within(g, &StMask::full(g.n()), x, y),
+        };
+        let size = mask.s_count() + mask.t_count();
+        self.map.insert((x, y), (mask.clone(), size));
         mask
     }
 
@@ -101,6 +121,30 @@ mod tests {
         assert_eq!(cache.misses(), 3, "three distinct keys");
         assert_eq!(cache.hits(), 3, "three repeats");
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn nested_peels_match_full_peels() {
+        // Climbing, falling and incomparable thresholds, so misses start
+        // from every kind of memoised base (or none).
+        for seed in 0..4 {
+            let g = gen::gnm(60, 420, seed);
+            let mut cache = CoreCache::new();
+            for (x, y) in [
+                (1, 1),
+                (2, 1),
+                (2, 3),
+                (5, 2),
+                (3, 3),
+                (1, 4),
+                (6, 6),
+                (4, 1),
+                (9, 9),
+            ] {
+                assert_eq!(cache.core(&g, x, y), xy_core(&g, x, y), "({x},{y})");
+            }
+            assert_eq!(cache.misses(), 9);
+        }
     }
 
     #[test]
